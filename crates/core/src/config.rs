@@ -21,6 +21,13 @@ pub struct SystemConfig {
     /// timestamp-ordered backend. Selected per run and validated
     /// against the other knobs by [`SystemConfig::validate`].
     pub protocol: ProtocolKind,
+    /// OCC condition 1 (§2.1): a transaction acquires the global commit
+    /// token before it starts executing, so no two transactions ever
+    /// overlap — the paper's no-concurrency lower bound. `false` (the
+    /// default) is condition 2 for the serialized-commit backend.
+    /// Honored only by [`ProtocolKind::SerializedCommit`]; refused by
+    /// [`SystemConfig::validate`] under any other backend.
+    pub serial_execution: bool,
     /// Private cache hierarchy of each processor.
     pub cache: CacheConfig,
     /// Interconnect parameters (Figure 8 varies `link_latency`).
@@ -429,6 +436,16 @@ impl SystemConfig {
                 ));
             }
         }
+        if self.serial_execution && self.protocol != ProtocolKind::SerializedCommit {
+            return Err(ConfigError::unsupported(
+                self.protocol,
+                "serial_execution",
+                "serial execution (OCC condition 1) is a mode of the \
+                 token-serialized machine; this backend has no commit token",
+                "set cfg.serial_execution = false, or select \
+                 ProtocolKind::SerializedCommit",
+            ));
+        }
         if self.protocol == ProtocolKind::SerializedCommit && self.dir_cache_entries.is_some() {
             return Err(ConfigError::unsupported(
                 self.protocol,
@@ -465,6 +482,7 @@ impl Default for SystemConfig {
         SystemConfig {
             n_procs: 32,
             protocol: ProtocolKind::Tcc,
+            serial_execution: false,
             cache: CacheConfig::default(),
             network: NetworkConfig::default(),
             dir_line_latency: 10,
@@ -560,6 +578,21 @@ mod tests {
         c.protocol = ProtocolKind::SerializedCommit;
         c.dir_cache_entries = Some(1024);
         assert_eq!(c.validate().unwrap_err().field(), "dir_cache_entries");
+
+        // Serial execution needs the serialized backend's commit token.
+        for protocol in [ProtocolKind::Tcc, ProtocolKind::Tardis] {
+            let mut c = SystemConfig::with_procs(4);
+            c.protocol = protocol;
+            c.serial_execution = true;
+            let err = c.validate().unwrap_err();
+            assert_eq!(err.field(), "serial_execution");
+            assert!(matches!(err, ConfigError::UnsupportedByProtocol { .. }));
+        }
+        let mut c = SystemConfig::with_procs(4);
+        c.protocol = ProtocolKind::SerializedCommit;
+        c.serial_execution = true;
+        c.validate()
+            .expect("serial execution runs on the serialized backend");
 
         // Profiling hooks live in the TCC processor.
         let mut c = SystemConfig::with_procs(4);
