@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use tcc_core::{Simulator, SystemConfig};
+use tcc_core::{ProtocolKind, Simulator, SystemConfig};
 use tcc_workloads::{apps, Scale};
 
 fn time_runs(name: &str, samples: usize, mut run: impl FnMut()) {
@@ -44,7 +44,8 @@ fn main() {
             std::hint::black_box(
                 Simulator::builder(SystemConfig::with_procs(n))
                     .programs(programs)
-                    .build_baseline()
+                    .protocol(ProtocolKind::SerializedCommit)
+                    .build()
                     .expect("valid config")
                     .run(),
             );

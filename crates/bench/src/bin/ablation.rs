@@ -14,9 +14,7 @@
 
 use tcc_bench::report::{harness_json, write_report};
 use tcc_bench::{run_app, HarnessArgs, HARNESS_SEED};
-use tcc_core::baseline::OccCondition;
-use tcc_core::Simulator;
-use tcc_core::SystemConfig;
+use tcc_core::{ProtocolKind, Simulator, SystemConfig};
 use tcc_stats::render::TextTable;
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::apps;
@@ -55,19 +53,21 @@ fn ablation_a(args: &HarnessArgs, report: &mut RunReport) {
     for n in [1usize, 4, 16, 32] {
         let scalable = run_app(&app, n, args.scale(), |_| {}).total_cycles;
         let programs = app.generate_scaled(n, HARNESS_SEED, args.scale());
-        let cond2 = Simulator::builder(SystemConfig::with_procs(n))
-            .programs(programs.clone())
-            .build_baseline()
-            .expect("valid config")
-            .run()
-            .total_cycles;
-        let cond1 = Simulator::builder(SystemConfig::with_procs(n))
-            .programs(programs)
-            .baseline(OccCondition::SerialExecution)
-            .build_baseline()
-            .expect("valid config")
-            .run()
-            .total_cycles;
+        let token_machine = |serial_execution| {
+            let cfg = SystemConfig {
+                protocol: ProtocolKind::SerializedCommit,
+                serial_execution,
+                ..SystemConfig::with_procs(n)
+            };
+            Simulator::builder(cfg)
+                .programs(programs.clone())
+                .build()
+                .expect("valid config")
+                .run()
+                .total_cycles
+        };
+        let cond2 = token_machine(false);
+        let cond1 = token_machine(true);
         t.row(vec![
             n.to_string(),
             scalable.to_string(),
@@ -156,7 +156,8 @@ fn ablation_c(args: &HarnessArgs, report: &mut RunReport) {
         let programs = app.generate_scaled(n, HARNESS_SEED, args.scale());
         let wt = Simulator::builder(SystemConfig::with_procs(n))
             .programs(programs)
-            .build_baseline()
+            .protocol(ProtocolKind::SerializedCommit)
+            .build()
             .expect("valid config")
             .run();
         t.row(vec![

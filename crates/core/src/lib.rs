@@ -19,8 +19,10 @@
 //! * [`Simulator`] — wires processors, `tcc-directory` controllers, the
 //!   `tcc-network` mesh, and the gap-free TID vendor into one
 //!   deterministic event-driven simulation; produces [`SimResult`].
-//! * [`baseline`] — the small-scale TCC protocol (global commit token +
-//!   write-through broadcast commit) used as the scalability baseline.
+//! * [`serialized`] — the small-scale TCC protocol (a global commit
+//!   token and write-through broadcast commits) used as the scalability
+//!   baseline, as a [`Protocol`] backend; [`SystemConfig::serial_execution`]
+//!   turns it into the no-overlap OCC condition 1 machine.
 //! * [`Checker`] — a serializability oracle that validates every
 //!   committed execution against a serial replay in TID order.
 //!
@@ -58,7 +60,6 @@
 //! [`RunError`] values. The panicking [`Simulator::run`] remains as a
 //! convenience for tests and examples that treat a stall as a bug.
 
-pub mod baseline;
 mod breakdown;
 mod checker;
 mod config;

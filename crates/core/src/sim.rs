@@ -14,7 +14,6 @@ use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, DirId, Frame, LineAddr, Message, NodeId, Payload};
 
-use crate::baseline::BaselineSimulator;
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
 use crate::config::{ConfigError, SystemConfig};
@@ -478,9 +477,11 @@ pub struct Simulator {
     pub(crate) program_digest: u64,
 }
 
-/// Fluent, validating constructor for [`Simulator`] (and the
-/// small-scale TCC [`BaselineSimulator`] used for Figure 6
-/// comparisons). Obtained from [`Simulator::builder`].
+/// Fluent, validating constructor for [`Simulator`], for every
+/// protocol backend — including the small-scale TCC baseline
+/// ([`ProtocolKind::SerializedCommit`](tcc_types::ProtocolKind), with
+/// [`SystemConfig::serial_execution`] selecting OCC condition 1).
+/// Obtained from [`Simulator::builder`].
 ///
 /// Construction goes through [`SystemConfig::validate`] plus
 /// program-shape checks, so every refusal is a typed [`ConfigError`]
@@ -511,7 +512,6 @@ pub struct SimulatorBuilder {
     cfg: SystemConfig,
     programs: Vec<ThreadProgram>,
     tracer: Option<Tracer>,
-    baseline: Option<crate::baseline::OccCondition>,
 }
 
 impl SimulatorBuilder {
@@ -538,30 +538,28 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Target the small-scale TCC baseline machine implementing the
-    /// given OCC overlap condition; finish with
-    /// [`build_baseline`](Self::build_baseline) instead of
-    /// [`build`](Self::build).
-    pub fn baseline(mut self, condition: crate::baseline::OccCondition) -> SimulatorBuilder {
-        self.baseline = Some(condition);
-        self
-    }
-
-    /// Validates the config and program shape.
-    fn check(&self) -> Result<(), ConfigError> {
-        self.cfg.validate()?;
-        if self.programs.len() != self.cfg.n_procs {
+    /// Builds the [`Simulator`] for the configured protocol backend.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SystemConfig::validate`] refusal; a program count that
+    /// differs from the processor count; or programs that disagree on
+    /// barrier counts.
+    pub fn build(self) -> Result<Simulator, ConfigError> {
+        let SimulatorBuilder {
+            cfg,
+            programs,
+            tracer,
+        } = self;
+        cfg.validate()?;
+        if programs.len() != cfg.n_procs {
             return Err(ConfigError::invalid(
                 "programs",
-                format!(
-                    "{} programs for {} processors",
-                    self.programs.len(),
-                    self.cfg.n_procs
-                ),
+                format!("{} programs for {} processors", programs.len(), cfg.n_procs),
                 "pass exactly one ThreadProgram per processor",
             ));
         }
-        let counts: Vec<usize> = self.programs.iter().map(ThreadProgram::barriers).collect();
+        let counts: Vec<usize> = programs.iter().map(ThreadProgram::barriers).collect();
         if !counts.windows(2).all(|w| w[0] == w[1]) {
             return Err(ConfigError::invalid(
                 "programs",
@@ -570,50 +568,7 @@ impl SimulatorBuilder {
                  or the barrier protocol deadlocks",
             ));
         }
-        Ok(())
-    }
-
-    /// Builds the scalable-protocol [`Simulator`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`SystemConfig::validate`] refusal; a program count that
-    /// differs from the processor count; programs that disagree on
-    /// barrier counts; or a builder already pointed at the baseline
-    /// machine via [`baseline`](Self::baseline).
-    pub fn build(self) -> Result<Simulator, ConfigError> {
-        self.check()?;
-        if self.baseline.is_some() {
-            return Err(ConfigError::invalid(
-                "baseline",
-                "builder was pointed at the baseline machine",
-                "finish with .build_baseline(), or drop .baseline(..)",
-            ));
-        }
-        let SimulatorBuilder {
-            cfg,
-            programs,
-            tracer,
-            baseline: _,
-        } = self;
         Ok(Simulator::construct(cfg, programs, tracer))
-    }
-
-    /// Builds the small-scale TCC [`BaselineSimulator`] (defaults to
-    /// [`OccCondition::SerializedCommit`](crate::baseline::OccCondition)
-    /// if [`baseline`](Self::baseline) was not called).
-    ///
-    /// # Errors
-    ///
-    /// The same config/program refusals as [`build`](Self::build).
-    pub fn build_baseline(self) -> Result<BaselineSimulator, ConfigError> {
-        self.check()?;
-        let condition = self.baseline.unwrap_or_default();
-        Ok(BaselineSimulator::with_condition(
-            self.cfg,
-            self.programs,
-            condition,
-        ))
     }
 }
 
@@ -626,7 +581,6 @@ impl Simulator {
             cfg,
             programs: Vec::new(),
             tracer: None,
-            baseline: None,
         }
     }
 

@@ -4,7 +4,9 @@
 //! vendor) and checks both the outcome (commits, violations) and the
 //! serializability of the committed history.
 
-use tcc_core::{SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
+use tcc_core::{
+    ProtocolKind, SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,
+};
 use tcc_types::Addr;
 
 fn cfg(n: usize) -> SystemConfig {
@@ -502,7 +504,8 @@ fn parallel_commits_overlap_in_time() {
         .run();
     let serialized = Simulator::builder(SystemConfig::with_procs(n))
         .programs(mk())
-        .build_baseline()
+        .protocol(ProtocolKind::SerializedCommit)
+        .build()
         .expect("valid config")
         .run();
     assert_eq!(scalable.commits, 16 * 12);

@@ -6,7 +6,7 @@
 //! that survives the targeted tests in `protocol.rs` has to get past
 //! hundreds of randomized schedules here.
 
-use tcc_core::{Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
+use tcc_core::{ProtocolKind, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
 use tcc_types::rng::SmallRng;
 use tcc_types::Addr;
 
@@ -380,7 +380,7 @@ fn prop_small_machines_fig2f_slow_network() {
 }
 
 /// The baseline (serialized commit) is serializable on the same
-/// random programs.
+/// random programs, under both serialized and serial execution.
 #[test]
 fn prop_baseline_is_serializable() {
     let mut rng = SmallRng::seed_from_u64(0x9209_0003);
@@ -388,13 +388,26 @@ fn prop_baseline_is_serializable() {
         let raw = random_raw(&mut rng, 2, 4);
         let programs = to_programs(&raw);
         let expected: u64 = programs.iter().map(|p| p.transactions() as u64).sum();
-        let r = Simulator::builder(checked_cfg(2))
-            .programs(programs)
-            .build_baseline()
-            .expect("valid config")
-            .run();
-        assert_eq!(r.commits, expected, "program: {raw:?}");
-        assert!(r.serializability.unwrap().is_ok(), "program: {raw:?}");
+        for serial_execution in [false, true] {
+            let cfg = SystemConfig {
+                protocol: ProtocolKind::SerializedCommit,
+                serial_execution,
+                ..checked_cfg(2)
+            };
+            let r = Simulator::builder(cfg)
+                .programs(programs.clone())
+                .build()
+                .expect("valid config")
+                .run();
+            assert_eq!(
+                r.commits, expected,
+                "program: {raw:?} serial: {serial_execution}"
+            );
+            assert!(
+                r.serializability.unwrap().is_ok(),
+                "program: {raw:?} serial: {serial_execution}"
+            );
+        }
     }
 }
 

@@ -35,7 +35,8 @@ fn main() {
             .total_cycles;
         let serialized = Simulator::builder(SystemConfig::with_procs(n))
             .programs(programs)
-            .build_baseline()
+            .protocol(ProtocolKind::SerializedCommit)
+            .build()
             .expect("valid config")
             .run()
             .total_cycles;

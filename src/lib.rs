@@ -91,9 +91,9 @@ pub use tcc_workloads as workloads;
 /// construction ([`Simulator`], [`SystemConfig`], [`SimulatorBuilder`],
 /// [`ConfigError`]), backend selection ([`Protocol`], [`ProtocolKind`]),
 /// results ([`SimResult`], [`RunError`]), workloads ([`apps`],
-/// [`Scale`], program-building types), the serialized-commit baseline
-/// ([`BaselineSimulator`], [`OccCondition`]), and tracing ([`Tracer`],
-/// [`TraceConfig`]).
+/// [`Scale`], program-building types), and tracing ([`Tracer`],
+/// [`TraceConfig`]). The serialized-commit baseline is the
+/// `ProtocolKind::SerializedCommit` backend.
 ///
 /// ```
 /// use scalable_tcc::prelude::*;
@@ -107,7 +107,6 @@ pub use tcc_workloads as workloads;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub mod prelude {
-    pub use tcc_core::baseline::{BaselineResult, BaselineSimulator, OccCondition};
     pub use tcc_core::{
         ConfigError, Protocol, ProtocolKind, RunError, SimResult, Simulator, SimulatorBuilder,
         SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,

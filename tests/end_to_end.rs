@@ -101,7 +101,8 @@ fn scalable_beats_the_serialized_baseline_on_commit_bound_work() {
         .total_cycles;
     let serialized = Simulator::builder(SystemConfig::with_procs(n))
         .programs(programs)
-        .build_baseline()
+        .protocol(ProtocolKind::SerializedCommit)
+        .build()
         .expect("valid config")
         .run()
         .total_cycles;
