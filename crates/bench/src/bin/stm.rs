@@ -1,13 +1,13 @@
 //! `tcc-stm` vs coarse-mutex bench (`BENCH_stm.json`).
 //!
-//! Runs the Zipfian and disjoint-access [`tcc_workloads::stm`] profiles
-//! through the real STM on real threads at 1/2/4/8 threads, against a
-//! coarse-mutex baseline executing the *identical* deterministic
-//! scripts, and records throughput plus per-transaction latency
-//! histograms (p50/p99) for both sides. Before measuring anything it
-//! runs a bounded pass of the interleaving explorer and refuses to
-//! bench a protocol with violations — the artifact itself proves the
-//! model checker ran clean.
+//! Runs the Zipfian, disjoint-access and wide-footprint disjoint
+//! [`tcc_workloads::stm`] profiles through the real STM on real threads
+//! at 1/2/4/8 threads, against a coarse-mutex baseline executing the
+//! *identical* deterministic scripts, and records throughput plus
+//! per-transaction latency histograms (p50/p99) for both sides. Before
+//! measuring anything it runs a bounded pass of the interleaving
+//! explorer and refuses to bench a protocol with violations — the
+//! artifact itself proves the model checker ran clean.
 //!
 //! Honest-measurement note: on a host with fewer CPUs than benchmark
 //! threads, the thread sweep measures time-slicing (scheduler handoff
@@ -32,7 +32,16 @@ use tcc_workloads::stm::{StmOp, StmProfile, StmTx};
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn profiles() -> Vec<StmProfile> {
-    vec![StmProfile::zipfian(256, 0.9), StmProfile::disjoint(64)]
+    // Wide footprints (128 reads + 64 read-modify-writes over 512
+    // private cells) take the read and write sets past the linear-scan
+    // threshold into the indexed lookup.
+    let mut wide = StmProfile::disjoint(512).with_footprint(128, 64);
+    wide.name = "disjoint-wide";
+    vec![
+        StmProfile::zipfian(256, 0.9),
+        StmProfile::disjoint(64),
+        wide,
+    ]
 }
 
 /// One measured side (STM or mutex) of one sweep cell.
@@ -266,13 +275,13 @@ fn main() {
                 "caveat",
                 format!(
                     "generated on a {cpus}-CPU host with {max_threads} benchmark \
-                     threads: with no hardware parallelism the futex mutex stays \
-                     on its uncontended fast path while the STM pays commit \
+                     threads: oversubscribed, the futex mutex stays on its \
+                     uncontended fast path while the STM pays commit \
                      bookkeeping plus TID-order stalls behind preempted \
                      committers, so this cell measures per-commit overhead under \
                      time-slicing, not the parallel-commit scaling the protocol \
-                     buys; regenerate on a multi-core host for a meaningful \
-                     verdict"
+                     buys; regenerate on a host with at least {max_threads} CPUs \
+                     for a meaningful verdict"
                 )
                 .into(),
             ));

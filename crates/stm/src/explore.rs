@@ -21,17 +21,23 @@
 //! 4. **seeded-random walks**: at every yieldpoint, switch with
 //!    probability `switch_percent`.
 //!
-//! The oracle ([`check_history`]) asserts strict serializability the
-//! same way the simulator's checker does: every scripted transaction
-//! commits exactly once, TIDs are unique, and replaying the commits in
-//! TID order reproduces every stamp each transaction observed. A run
-//! that exhausts its step budget is reported as a violation too — with
-//! these bounded scripts, that is the livelock detector.
+//! Two oracles judge each run. [`check_history`] asserts strict
+//! serializability the same way the simulator's checker does: every
+//! scripted transaction commits exactly once, TIDs are unique, and
+//! replaying the commits in TID order reproduces every stamp each
+//! transaction observed. [`check_opacity`] covers *every* execution
+//! attempt, aborted ones included: each read `(cell, stamp)` admits an
+//! interval of prefixes of the final committed TID order (the states in
+//! which the cell carries that stamp), and the intervals of one attempt
+//! must intersect — the attempt saw one serial state. A run that
+//! exhausts its step budget is reported as a violation too — with these
+//! bounded scripts, that is the livelock detector.
 //!
 //! The explorer has teeth: the [`CommitTweaks`] bug knobs
-//! (`skip_read_validation`, `publish_before_serving`) each disable one
-//! load-bearing step of the protocol, and the test suite asserts the
-//! explorer catches both.
+//! (`skip_read_validation`, `publish_before_serving`,
+//! `read_past_bound`) each disable one load-bearing step of the
+//! protocol or of the read rule, and the test suite asserts the
+//! explorer catches all three.
 
 use crate::proto::{
     self, stamp_of, CellAccess, CommitMode, CommitOutcome, CommitState, CommitTweaks, ReadEntry,
@@ -283,6 +289,8 @@ struct World {
     shards: usize,
     tweaks: CommitTweaks,
     log: Mutex<Vec<TxCommit>>,
+    /// The reads of every execution attempt, aborted ones included.
+    attempts: Mutex<Vec<Vec<(usize, u64)>>>,
 }
 
 /// One committed transaction as the oracle sees it.
@@ -320,6 +328,8 @@ impl CellAccess for ModelCells<'_> {
 /// as the real [`crate::Stm::run`]).
 fn run_script(world: &World, me: usize, script: &[ModelTx], threshold: u32) {
     let shard_of = |c: usize| c % world.shards;
+    // The thread-local snapshot seed of the real STM.
+    let mut seed: u64 = 0;
     for tx in script {
         let mut attempts: u32 = 0;
         let mut early: Option<u64> = None;
@@ -328,11 +338,22 @@ fn run_script(world: &World, me: usize, script: &[ModelTx], threshold: u32) {
             if early.is_none() && attempts > threshold {
                 early = Some(world.state.vendor.acquire(me));
             }
-            // Execution: read each cell, incrementally revalidating the
-            // prior reads (mirrors Tx::read_versioned).
+            // Execution under the snapshot rule (mirrors
+            // Tx::read_versioned): a stamp at or below the bound `rv` is
+            // taken as is; above it, the bound extends to the home
+            // shard's NSTID after revalidating the prior reads, or the
+            // read waits while the writer is still unresolved there.
+            let mut rv = seed;
             let mut reads: Vec<ReadEntry<usize>> = Vec::with_capacity(tx.reads.len());
             let mut consistent = true;
             'exec: for &c in &tx.reads {
+                if let Some(r) = reads.iter().find(|r| r.cell == c) {
+                    if world.cells[c].stamp.load() != r.stamp {
+                        consistent = false;
+                        break 'exec;
+                    }
+                    continue;
+                }
                 for _ in 0..2 {
                     let m = world.cells[c].mark.load();
                     if proto::read_should_stall(&world.state, shard_of(c), m) {
@@ -341,21 +362,35 @@ fn run_script(world: &World, me: usize, script: &[ModelTx], threshold: u32) {
                         break;
                     }
                 }
-                let s = world.cells[c].stamp.load();
-                for prior in &reads {
-                    if world.cells[prior.cell].stamp.load() != prior.stamp {
-                        consistent = false;
-                        break 'exec;
+                let s = loop {
+                    let s = world.cells[c].stamp.load();
+                    if s <= rv || world.tweaks.read_past_bound {
+                        break s;
                     }
-                }
-                if !reads.iter().any(|r| r.cell == c) {
-                    reads.push(ReadEntry {
-                        cell: c,
-                        shard: shard_of(c),
-                        stamp: s,
-                    });
-                }
+                    let f = world.state.shards[shard_of(c)].nstid();
+                    if s > f {
+                        ModelShim::pause();
+                        continue;
+                    }
+                    for prior in &reads {
+                        if world.cells[prior.cell].stamp.load() != prior.stamp {
+                            consistent = false;
+                            break 'exec;
+                        }
+                    }
+                    rv = f;
+                };
+                reads.push(ReadEntry {
+                    cell: c,
+                    shard: shard_of(c),
+                    stamp: s,
+                });
             }
+            world
+                .attempts
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(reads.iter().map(|r| (r.cell, r.stamp)).collect());
             if !consistent {
                 continue; // re-execute; a held early TID is kept
             }
@@ -383,6 +418,9 @@ fn run_script(world: &World, me: usize, script: &[ModelTx], threshold: u32) {
                 &world.tweaks,
             ) {
                 CommitOutcome::Committed { tid } => {
+                    if !reads.is_empty() || !writes.is_empty() {
+                        seed = seed.max(stamp_of(tid));
+                    }
                     world
                         .log
                         .lock()
@@ -435,6 +473,7 @@ pub fn run_schedule(spec: &ModelSpec, policy: Policy, step_budget: usize) -> Run
         shards: spec.shards,
         tweaks: spec.tweaks,
         log: Mutex::new(Vec::new()),
+        attempts: Mutex::new(Vec::new()),
     });
     let sched = Scheduler::new(n, policy, step_budget);
 
@@ -472,7 +511,13 @@ pub fn run_schedule(spec: &ModelSpec, policy: Policy, step_budget: usize) -> Run
                 .log
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            check_history(spec, &log).err()
+            let attempts = world
+                .attempts
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            check_history(spec, &log)
+                .and_then(|()| check_opacity(&log, &attempts))
+                .err()
         }
     };
     let s = &world.state.stats;
@@ -527,6 +572,53 @@ fn check_history(spec: &ModelSpec, log: &[TxCommit]) -> Result<(), String> {
         }
         for &cell in &tx.writes {
             sim[cell] = stamp_of(tx.tid);
+        }
+    }
+    Ok(())
+}
+
+/// The opacity oracle, over every execution attempt (aborted ones
+/// included). Against the committed TID order, prefix `k` is the state
+/// after the first `k` commits. A read `(cell, stamp)` holds in the
+/// prefixes from its writer's commit up to the next commit that writes
+/// the cell — an interval. An attempt saw one serial state iff its
+/// intervals intersect. Assumes [`check_history`] passed.
+fn check_opacity(log: &[TxCommit], attempts: &[Vec<(usize, u64)>]) -> Result<(), String> {
+    let mut order: Vec<&TxCommit> = log.iter().collect();
+    order.sort_by_key(|t| t.tid);
+    // Prefix length after which `stamp` is the cell's value, and the
+    // prefix length at which the next write of the cell lands.
+    let holds = |cell: usize, stamp: u64| -> Option<(usize, usize)> {
+        let from = if stamp == STAMP_INITIAL {
+            0
+        } else {
+            1 + order
+                .iter()
+                .position(|t| stamp_of(t.tid) == stamp && t.writes.contains(&cell))?
+        };
+        let to = order[from..]
+            .iter()
+            .position(|t| t.writes.contains(&cell))
+            .map_or(order.len(), |i| from + i);
+        Some((from, to))
+    };
+    for (n, reads) in attempts.iter().enumerate() {
+        let (mut lo, mut hi) = (0, order.len());
+        for &(cell, stamp) in reads {
+            let Some((from, to)) = holds(cell, stamp) else {
+                return Err(format!(
+                    "not opaque: attempt {n} read stamp {stamp} on cell {cell}, \
+                     which no committed transaction wrote"
+                ));
+            };
+            lo = lo.max(from);
+            hi = hi.min(to);
+            if lo > hi {
+                return Err(format!(
+                    "not opaque: attempt {n} read {reads:?}, which no prefix of \
+                     the committed TID order produces"
+                ));
+            }
         }
     }
     Ok(())

@@ -124,7 +124,7 @@ impl<S: Shim> Shard<S> {
                     continue;
                 }
                 let bit = 1 << (k - 1);
-                debug_assert_eq!(s & bit, 0, "TID {tid} resolved twice at one shard");
+                assert_eq!(s & bit, 0, "TID {tid} resolved twice at one shard");
                 s | bit
             };
             if self.state.compare_exchange(s, new).is_ok() {
@@ -244,7 +244,7 @@ impl<S: Shim> Vendor<S> {
     /// resolution and must skip it at every shard.
     #[must_use]
     pub fn recycle(&self, home: usize, tid: u64) -> bool {
-        debug_assert_ne!(tid, TID_NONE);
+        assert_ne!(tid, TID_NONE, "recycling the empty-slot sentinel");
         self.slots[home % self.slots.len()]
             .compare_exchange(TID_NONE, tid)
             .is_ok()
@@ -470,6 +470,11 @@ pub struct CommitTweaks {
     /// BUG: publish writes immediately after marking, *before* the
     /// write shards are serving our TID.
     pub publish_before_serving: bool,
+    /// BUG (execution-time reads, applied by the explorer's model of
+    /// `Tx::read`): accept a stamp above the snapshot bound without
+    /// extending the bound, so a read can land in a later state than
+    /// the reads before it.
+    pub read_past_bound: bool,
 }
 
 /// Runs the two-phase parallel commit for one transaction.
@@ -506,7 +511,9 @@ pub fn commit<S: Shim, C: CellAccess>(
     tweaks: &CommitTweaks,
 ) -> CommitOutcome {
     let n = state.shards.len();
-    debug_assert!(n <= MAX_SHARDS);
+    // `CommitState`'s fields are public, so `new`'s range check does not
+    // cover every instance; the footprint bitmap is one `u64`.
+    assert!(n <= MAX_SHARDS, "{n} shards exceed MAX_SHARDS {MAX_SHARDS}");
     let (tid, early) = match mode {
         CommitMode::Normal { home } => (state.vendor.acquire(home), false),
         CommitMode::EarlyTid(t) => (t, true),
@@ -514,12 +521,14 @@ pub fn commit<S: Shim, C: CellAccess>(
 
     // Footprint bitmap: which shards we must be served at.
     let mut footprint: u64 = 0;
+    // An out-of-range shard would fall outside the phase-3 loop and go
+    // unserved, silently breaking serializability.
     for r in reads {
-        debug_assert!(r.shard < n);
+        assert!(r.shard < n, "read entry on shard {} of {n}", r.shard);
         footprint |= 1 << r.shard;
     }
     for w in writes {
-        debug_assert!(w.shard < n);
+        assert!(w.shard < n, "write entry on shard {} of {n}", w.shard);
         footprint |= 1 << w.shard;
     }
 
@@ -687,9 +696,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "resolved twice")]
-    fn double_resolution_in_window_is_caught_in_debug() {
+    fn double_resolution_in_window_is_caught() {
         let sh: Shard<RealShim> = Shard::new();
         sh.resolve(3, &nohelp());
         sh.resolve(3, &nohelp());

@@ -16,12 +16,49 @@
 //! pointer swap — the software image of the paper's write-back commit
 //! via ownership publication, where commit communicates *who owns the
 //! line*, not the data. Displaced versions are reclaimed through
-//! [`crate::ebr`]. Reads are invisible; consistency during execution is
-//! incremental revalidation (NOrec-style): every read re-checks the
-//! stamps of all prior reads *after* loading the new value, so the
-//! whole read set was simultaneously current at that load — the
-//! transaction never observes a state no serial execution could produce
-//! (opacity), which matters because user closures run on it.
+//! [`crate::ebr`].
+//!
+//! Reads are invisible and opaque: a transaction never observes a
+//! state no serial execution could produce, even on attempts that
+//! later abort, which matters because user closures run on it. The
+//! rule is a snapshot bound `rv` taken from the commit order itself.
+//! A TID resolves at a shard only after all of its publications are
+//! installed (`proto::commit` phase 4 before phase 5), so any shard's
+//! NSTID bounds a consistent snapshot. Each [`Tx`] keeps the invariant
+//! *every TID below `rv` has finished publishing, and every recorded
+//! read has a stamp `<= rv` and is still current*:
+//!
+//! * **Fast path.** A loaded version with stamp `<= rv` is returned
+//!   with no re-validation. Per-cell publications happen in TID order
+//!   under the cell's home shard, so it is the cell's value in the
+//!   serial state after all TIDs `< rv`.
+//! * **Extension.** A stamp `> rv` loads `f`, the NSTID of the cell's
+//!   home shard. If the stamp is also `> f`, its writer `W` has
+//!   published here but not yet resolved at the home shard: pause and
+//!   reload. Otherwise every recorded read is re-checked against its
+//!   stamp, `rv` becomes `f`, and the cell is reloaded.
+//! * **Repeated reads** compare the loaded stamp with the recorded
+//!   one; a difference is a [`TxError::Conflict`].
+//!
+//! The pause cannot deadlock. `W` wrote this cell, so the home shard
+//! is in `W`'s footprint, and `W`'s `await_serving` there has already
+//! seen every lower TID resolved — parked TIDs included, which its
+//! helper claims. So `W` is in phase 4 or 5, where it waits on no
+//! reader, only (through skip-window back-pressure) on lower TIDs that
+//! are themselves resolving everywhere. A reader holding an early TID
+//! holds one above `W`: a lower one would still be unresolved at the
+//! home shard.
+//!
+//! `rv` is seeded from a thread-local `(instance id, bound)`. After a
+//! commit with a non-empty footprint, the thread's bound becomes
+//! `stamp_of(tid)`: the commit was served at some shard, so every lower
+//! TID had resolved there, and resolution follows publication. The
+//! seed is keyed by an id no other [`Stm`] ever reuses, so a bound
+//! never leaks into a later instance that happens to share an address.
+//!
+//! Read and write sets of up to eight cells are searched linearly, so
+//! small transactions never allocate for lookups; larger ones index
+//! cells by address, keeping each access O(1).
 
 use crate::ebr;
 use crate::proto::{
@@ -29,6 +66,9 @@ use crate::proto::{
     WriteEntry, STAMP_INITIAL, TID_NONE,
 };
 use crate::shim::{RealShim, Shim, ShimU64};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -215,6 +255,9 @@ struct Inner {
     collector: ebr::Collector,
     config: StmConfig,
     next_cell: AtomicUsize,
+    /// Never reused across instances: keys the thread-local snapshot
+    /// seed (see [`SNAPSHOT_SEED`]).
+    id: u64,
 }
 
 /// A software transactional memory instance: a TID vendor, a set of
@@ -240,6 +283,13 @@ fn thread_home() -> usize {
     HOME.with(|h| *h)
 }
 
+thread_local! {
+    /// `(instance id, bound)`: a snapshot bound this thread has proved
+    /// for the [`Stm`] with that id — every TID below `bound` has
+    /// finished publishing. Starts [`Tx::rv`].
+    static SNAPSHOT_SEED: Cell<(u64, u64)> = const { Cell::new((u64::MAX, 0)) };
+}
+
 impl Stm {
     #[must_use]
     pub fn new() -> Self {
@@ -252,12 +302,14 @@ impl Stm {
     /// or `vendor_slots` is zero.
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Stm {
             inner: Arc::new(Inner {
                 state: CommitState::new(config.shards, config.vendor_slots),
                 collector: ebr::Collector::new(),
                 config,
                 next_cell: AtomicUsize::new(0),
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             }),
         }
     }
@@ -407,9 +459,95 @@ fn backoff(attempts: u32) {
 // Tx
 // ---------------------------------------------------------------------
 
+/// Sets up to this size are searched linearly (and never allocate for
+/// lookups); past it, cells are found through [`SlotSet`]'s index.
+const LINEAR_MAX: usize = 8;
+
+/// Hashes a cell address with one multiply and a fold: the high
+/// product bits carry the entropy, the fold brings it down to the low
+/// bits `HashMap` picks buckets with. The keys are heap addresses, so
+/// no defence against chosen keys is needed.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys are `usize` and take `write_usize`; fold anything else
+        // bytewise so the hasher stays total.
+        for &b in bytes {
+            self.write_usize(self.0 as usize ^ usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A set's identity for a cell: the address of its shared core.
+fn cell_key(core: &Arc<CellCore>) -> usize {
+    Arc::as_ptr(core) as usize
+}
+
+trait Slot {
+    fn core(&self) -> &Arc<CellCore>;
+}
+
+/// A transaction's read or write set: slots in first-access order plus
+/// an address index built once the set outgrows [`LINEAR_MAX`].
+struct SlotSet<S> {
+    slots: Vec<S>,
+    index: HashMap<usize, usize, BuildHasherDefault<AddrHasher>>,
+}
+
+impl<S: Slot> SlotSet<S> {
+    fn with_capacity(n: usize) -> Self {
+        SlotSet {
+            slots: Vec::with_capacity(n),
+            index: HashMap::default(),
+        }
+    }
+
+    /// Position of `core`'s slot, if the set has one.
+    fn find(&self, core: &Arc<CellCore>) -> Option<usize> {
+        if self.slots.len() <= LINEAR_MAX {
+            self.slots.iter().position(|s| Arc::ptr_eq(s.core(), core))
+        } else {
+            self.index.get(&cell_key(core)).copied()
+        }
+    }
+
+    /// Appends a slot for a cell the set does not hold yet.
+    fn push(&mut self, slot: S) {
+        self.slots.push(slot);
+        let n = self.slots.len();
+        if n == LINEAR_MAX + 1 {
+            self.index = self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (cell_key(s.core()), i))
+                .collect();
+        } else if n > LINEAR_MAX + 1 {
+            self.index.insert(cell_key(self.slots[n - 1].core()), n - 1);
+        }
+    }
+}
+
 struct ReadSlot {
     core: Arc<CellCore>,
     stamp: u64,
+}
+
+impl Slot for ReadSlot {
+    fn core(&self) -> &Arc<CellCore> {
+        &self.core
+    }
 }
 
 struct WriteSlot {
@@ -420,24 +558,44 @@ struct WriteSlot {
     published: bool,
 }
 
+impl Slot for WriteSlot {
+    fn core(&self) -> &Arc<CellCore> {
+        &self.core
+    }
+}
+
 /// One transaction attempt: invisible-read read set + buffered write
 /// set, pinned for its whole lifetime so version loads stay safe.
+///
+/// The unsafe blocks below rely on three facts. A cell's `current` is
+/// never null and points to a `Version<T>` of the `T` its `TVar<T>`
+/// was created with (only `TVar<T>` methods allocate its versions). A
+/// version loaded while `guard` is pinned stays allocated until the
+/// pin is released, because displaced versions are retired through
+/// EBR. A write slot's `prepared` node was allocated as `Version<T>`
+/// for that cell and is owned by this `Tx` until published.
 pub struct Tx<'s> {
     stm: &'s Inner,
     guard: ebr::Guard<'s>,
-    reads: Vec<ReadSlot>,
-    writes: Vec<WriteSlot>,
+    reads: SlotSet<ReadSlot>,
+    writes: SlotSet<WriteSlot>,
+    /// Snapshot bound: every TID below it has finished publishing, and
+    /// every recorded read is the cell's value in the serial state
+    /// after exactly those TIDs.
+    rv: u64,
 }
 
 impl<'s> Tx<'s> {
     fn new(stm: &'s Inner) -> Self {
+        let (id, bound) = SNAPSHOT_SEED.with(Cell::get);
         Tx {
             stm,
             guard: stm.collector.pin(),
             // Typical footprints are a handful of cells; skip the
             // doubling reallocs on the hot path.
-            reads: Vec::with_capacity(8),
-            writes: Vec::with_capacity(4),
+            reads: SlotSet::with_capacity(8),
+            writes: SlotSet::with_capacity(4),
+            rv: if id == stm.id { bound } else { 0 },
         }
     }
 
@@ -449,17 +607,47 @@ impl<'s> Tx<'s> {
     }
 
     /// Re-checks that every recorded read still carries the stamp we
-    /// observed. Called after each new read's value load: passing means
-    /// the entire read set (including the value just loaded) was
-    /// simultaneously current at that load instant.
+    /// observed. Called after loading a new snapshot bound, so passing
+    /// means each recorded value is also the cell's value under it.
     fn validate_reads(&self) -> TxResult<()> {
-        for slot in &self.reads {
+        for slot in &self.reads.slots {
             let p = slot.core.current.load(Ordering::Acquire);
+            // SAFETY: non-null, and live under `self.guard` (see `Tx`).
             if unsafe { (*p).stamp } != slot.stamp {
                 return Err(TxError::Conflict);
             }
         }
         Ok(())
+    }
+
+    /// Loads `core`'s current version under the snapshot rule (module
+    /// docs): returns a version whose stamp is `<= rv`, extending `rv`
+    /// from the home shard's NSTID when the loaded stamp is above it.
+    fn load_in_snapshot(&mut self, core: &CellCore) -> TxResult<*mut VersionHdr> {
+        loop {
+            let p = core.current.load(Ordering::Acquire);
+            // SAFETY: non-null, and live under `self.guard` (see `Tx`).
+            let stamp = unsafe { (*p).stamp };
+            if stamp <= self.rv {
+                return Ok(p);
+            }
+            // Only the slow path touches the commit state: its `shards`
+            // header may share a cache line with the vendor counter
+            // every commit writes.
+            let f = self.stm.state.shards[core.shard].nstid();
+            if stamp > f {
+                // The writer (TID `stamp - 1`) has published here but
+                // not resolved at the home shard yet; it is past every
+                // wait that could involve us, so this ends.
+                RealShim::pause();
+                continue;
+            }
+            // Every TID below `f` has finished publishing. `stamp > rv`
+            // and `stamp <= f` give `f > rv`: the bound only grows.
+            self.validate_reads()?;
+            self.rv = f;
+            // Reload: a TID in `rv..f` may have replaced `p` since.
+        }
     }
 
     /// Reads `v`, also reporting where the value came from.
@@ -471,42 +659,54 @@ impl<'s> Tx<'s> {
         let core = &v.core;
 
         // Read-your-own-write.
-        if let Some(w) = self.writes.iter().find(|w| Arc::ptr_eq(&w.core, core)) {
+        if let Some(i) = self.writes.find(core) {
+            let w = &self.writes.slots[i];
+            // SAFETY: an unpublished `Version<T>` this `Tx` owns.
             let value = unsafe { (*w.prepared.cast::<Version<T>>()).value.clone() };
             return Ok((value, ReadOrigin::OwnWrite));
         }
 
-        // Mark stall: if a committer has marked this cell and already
-        // holds the cell's serial position, its publication is
-        // imminent — reading the doomed version would only manufacture
-        // a conflict. Bounded, so it can never become a wait-for edge.
-        let mut spins = 0;
-        while spins < self.stm.config.read_stall_spins {
-            let m = core.mark.load(Ordering::SeqCst);
-            if !proto::read_should_stall(&self.stm.state, core.shard, m) {
-                break;
+        let p = if let Some(i) = self.reads.find(core) {
+            // Repeated read: the recorded version is in the snapshot;
+            // any other one is a conflict.
+            let p = core.current.load(Ordering::Acquire);
+            // SAFETY: non-null, and live under `self.guard` (see `Tx`).
+            if unsafe { (*p).stamp } != self.reads.slots[i].stamp {
+                return Err(TxError::Conflict);
             }
-            spins += 1;
-            RealShim::pause();
-        }
+            p
+        } else {
+            // Mark stall: if a committer has marked this cell and
+            // already holds the cell's serial position, its publication
+            // is imminent — reading the doomed version would only
+            // manufacture a conflict. Bounded, so it can never become a
+            // wait-for edge.
+            let mut spins = 0;
+            while spins < self.stm.config.read_stall_spins {
+                let m = core.mark.load(Ordering::SeqCst);
+                if !proto::read_should_stall(&self.stm.state, core.shard, m) {
+                    break;
+                }
+                spins += 1;
+                RealShim::pause();
+            }
+            let p = self.load_in_snapshot(core)?;
+            self.reads.push(ReadSlot {
+                core: Arc::clone(core),
+                // SAFETY: as in `load_in_snapshot`, which loaded `p`.
+                stamp: unsafe { (*p).stamp },
+            });
+            p
+        };
 
-        let p = core.current.load(Ordering::Acquire);
+        // SAFETY: `p` is a `Version<T>` of `v`'s cell, live under
+        // `self.guard` (see `Tx`).
         let (stamp, value) = unsafe { ((*p).stamp, (*p.cast::<Version<T>>()).value.clone()) };
-        // Opacity: the whole read set must be current at the instant
-        // `p` was loaded.
-        self.validate_reads()?;
-
         let origin = if stamp == STAMP_INITIAL {
             ReadOrigin::Committed(None)
         } else {
             ReadOrigin::Committed(Some(Tid(stamp - 1)))
         };
-        if !self.reads.iter().any(|r| Arc::ptr_eq(&r.core, core)) {
-            self.reads.push(ReadSlot {
-                core: Arc::clone(core),
-                stamp,
-            });
-        }
         Ok((value, origin))
     }
 
@@ -523,12 +723,11 @@ impl<'s> Tx<'s> {
         value: T,
     ) -> TxResult<()> {
         self.check_same_stm(v);
-        if let Some(w) = self
-            .writes
-            .iter_mut()
-            .find(|w| Arc::ptr_eq(&w.core, &v.core))
-        {
+        if let Some(i) = self.writes.find(&v.core) {
             // Overwrite: replace the prepared node's value in place.
+            let w = &self.writes.slots[i];
+            // SAFETY: an unpublished `Version<T>` this `Tx` owns, so no
+            // other thread can see it yet.
             unsafe { (*w.prepared.cast::<Version<T>>()).value = value };
             return Ok(());
         }
@@ -542,12 +741,13 @@ impl<'s> Tx<'s> {
 
     /// Number of distinct cells read / written so far.
     pub fn footprint(&self) -> (usize, usize) {
-        (self.reads.len(), self.writes.len())
+        (self.reads.slots.len(), self.writes.slots.len())
     }
 
     fn commit(mut self, mode: CommitMode) -> CommitOutcome {
         let read_entries: Vec<ReadEntry<usize>> = self
             .reads
+            .slots
             .iter()
             .enumerate()
             .map(|(i, r)| ReadEntry {
@@ -558,6 +758,7 @@ impl<'s> Tx<'s> {
             .collect();
         let write_entries: Vec<WriteEntry<usize>> = self
             .writes
+            .slots
             .iter()
             .enumerate()
             .map(|(i, w)| WriteEntry {
@@ -566,18 +767,32 @@ impl<'s> Tx<'s> {
             })
             .collect();
         let mut cells = TxCells {
-            reads: &self.reads,
-            writes: &mut self.writes,
+            reads: &self.reads.slots,
+            writes: &mut self.writes.slots,
             guard: &self.guard,
         };
-        proto::commit::<RealShim, _>(
+        let outcome = proto::commit::<RealShim, _>(
             &self.stm.state,
             &read_entries,
             &write_entries,
             &mut cells,
             mode,
             &CommitTweaks::default(),
-        )
+        );
+        if let CommitOutcome::Committed { tid } = outcome {
+            if !read_entries.is_empty() || !write_entries.is_empty() {
+                // Served at a footprint shard: every lower TID had
+                // resolved there, so finished publishing, and so have
+                // we.
+                let id = self.stm.id;
+                SNAPSHOT_SEED.with(|seed| {
+                    let (old_id, old) = seed.get();
+                    let kept = if old_id == id { old } else { 0 };
+                    seed.set((id, kept.max(stamp_of(tid))));
+                });
+            }
+        }
+        outcome
         // Tx drops here: unpublished prepared nodes are freed by the
         // Drop impl, the pin is released.
     }
@@ -585,8 +800,10 @@ impl<'s> Tx<'s> {
 
 impl Drop for Tx<'_> {
     fn drop(&mut self) {
-        for w in &self.writes {
+        for w in &self.writes.slots {
             if !w.published {
+                // SAFETY: never published, so still owned here and
+                // freed exactly once.
                 unsafe { ((*w.prepared).free)(w.prepared) };
             }
         }
@@ -685,6 +902,124 @@ mod tests {
             Ok(())
         });
         assert_eq!(stm.atomically(|tx| tx.read(&a)), "second");
+    }
+
+    /// One transaction whose read and write sets both grow past
+    /// [`LINEAR_MAX`] into the indexed lookup, with overwrites and
+    /// re-reads on both sides of the threshold.
+    #[test]
+    fn large_transaction_crosses_the_index_threshold() {
+        let stm = Stm::new();
+        let cells: Vec<TVar<u64>> = (0..60).map(|i| stm.new_tvar(i)).collect();
+        // Cells 0..10 get a committed writer, so reads see both origins.
+        let (_, w) = stm.run(|tx| {
+            for c in &cells[..10] {
+                let v = tx.read(c)?;
+                tx.write(c, v + 100)?;
+            }
+            Ok(())
+        });
+        let committed = |i: usize| if i < 10 { i as u64 + 100 } else { i as u64 };
+        stm.atomically(|tx| {
+            // 40 distinct reads; after each, re-read the first cell and
+            // this one.
+            for (i, c) in cells[..40].iter().enumerate() {
+                let origin = if i < 10 {
+                    ReadOrigin::Committed(Some(w.tid))
+                } else {
+                    ReadOrigin::Committed(None)
+                };
+                assert_eq!(tx.read_versioned(c)?, (committed(i), origin));
+                assert_eq!(tx.read(&cells[0])?, committed(0));
+                assert_eq!(tx.read(c)?, committed(i));
+                assert_eq!(tx.footprint(), (i + 1, 0));
+            }
+            // 20 writes: cells 30..40 were read, 40..50 were not. Each
+            // is written twice and read back after each write.
+            for (k, c) in cells[30..50].iter().enumerate() {
+                let i = 30 + k;
+                tx.write(c, 1_000 + i as u64)?;
+                assert_eq!(
+                    tx.read_versioned(c)?,
+                    (1_000 + i as u64, ReadOrigin::OwnWrite)
+                );
+                tx.write(c, 2_000 + i as u64)?;
+                assert_eq!(tx.read(c)?, 2_000 + i as u64);
+                // The first write, buffered before the index existed.
+                assert_eq!(tx.read(&cells[30])?, 2_030);
+                assert_eq!(tx.footprint(), (40, k + 1));
+            }
+            // Every set member is still found once both sets are indexed.
+            for (i, c) in cells[..50].iter().enumerate() {
+                let want = if i >= 30 {
+                    2_000 + i as u64
+                } else {
+                    committed(i)
+                };
+                assert_eq!(tx.read(c)?, want);
+            }
+            assert_eq!(tx.footprint(), (40, 20));
+            Ok(())
+        });
+        let finals: Vec<u64> = stm.atomically(|tx| cells.iter().map(|c| tx.read(c)).collect());
+        for (i, v) in finals.into_iter().enumerate() {
+            let want = match i {
+                30..=49 => 2_000 + i as u64,
+                _ => committed(i),
+            };
+            assert_eq!(v, want, "cell {i}");
+        }
+    }
+
+    /// A re-read that finds a different version is a conflict, whether
+    /// the read set is scanned or indexed; so is a first read whose
+    /// newer snapshot no longer holds an earlier read.
+    #[test]
+    fn changed_reads_are_conflicts_on_both_sides_of_the_threshold() {
+        let stm = Stm::new();
+        let cells: Vec<TVar<u64>> = (0..12).map(|_| stm.new_tvar(0)).collect();
+        for n in [1, LINEAR_MAX + 3] {
+            let mut tx = Tx::new(&stm.inner);
+            for c in &cells[..n] {
+                tx.read(c).unwrap();
+            }
+            stm.atomically(|t| t.write(&cells[0], n as u64));
+            assert_eq!(tx.read(&cells[0]), Err(TxError::Conflict), "n = {n}");
+            assert_eq!(tx.read(&cells[n - 1]).is_ok(), n > 1, "n = {n}");
+        }
+        // cells[0] is stale in `tx`'s snapshot; cells[11] was written
+        // after the snapshot was taken, so reading it must extend the
+        // bound — and extending revalidates cells[0].
+        let mut tx = Tx::new(&stm.inner);
+        tx.read(&cells[0]).unwrap();
+        stm.atomically(|t| {
+            t.write(&cells[0], 50)?;
+            t.write(&cells[11], 50)
+        });
+        assert_eq!(tx.read(&cells[11]), Err(TxError::Conflict));
+    }
+
+    /// The snapshot seed belongs to one instance: a fresh `Stm` starts
+    /// from bound 0 even if it reuses a dropped instance's address, and
+    /// a commit that touched no cell proves nothing.
+    #[test]
+    fn snapshot_seed_is_per_instance() {
+        let stm = Stm::new();
+        let a = stm.new_tvar(0u64);
+        for i in 0..5 {
+            stm.atomically(|tx| tx.write(&a, i));
+        }
+        assert_eq!(Tx::new(&stm.inner).rv, 5, "seeded from the last commit");
+        drop(a);
+        drop(stm);
+        let fresh = Stm::new();
+        assert_eq!(Tx::new(&fresh.inner).rv, 0, "a new instance starts at 0");
+        fresh.atomically(|_| Ok(()));
+        assert_eq!(Tx::new(&fresh.inner).rv, 0, "empty commit sets no bound");
+        let b = fresh.new_tvar(1u64);
+        fresh.atomically(|tx| tx.write(&b, 2));
+        assert_eq!(Tx::new(&fresh.inner).rv, 2, "TIDs 0 and 1 are done");
+        assert_eq!(fresh.atomically(|tx| tx.read(&b)), 2);
     }
 
     #[test]

@@ -161,3 +161,27 @@ fn explorer_catches_publication_before_serving() {
         report.runs
     );
 }
+
+/// Teeth: an execution-time read that accepts a stamp above its
+/// snapshot bound without extending the bound must be caught by the
+/// opacity oracle — commit-time validation still keeps every committed
+/// history serializable, so only the aborted attempts show the bug.
+#[test]
+fn explorer_catches_reads_past_the_snapshot_bound() {
+    let mut spec = contended_2t();
+    spec.tweaks = CommitTweaks {
+        read_past_bound: true,
+        ..CommitTweaks::default()
+    };
+    let report = explore(&spec, &ExploreConfig::default());
+    assert!(
+        !report.violations.is_empty(),
+        "explorer failed to catch reads past the snapshot bound after {} runs",
+        report.runs
+    );
+    assert!(
+        report.violations.iter().all(|v| v.contains("not opaque")),
+        "the opacity oracle, not serializability, must catch it: {:?}",
+        report.violations
+    );
+}

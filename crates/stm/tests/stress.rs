@@ -4,7 +4,13 @@
 //! terminating *is* the assertion), and end-state gap-freedom of the
 //! TID space.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use tcc_stm::{Stm, StmConfig, TVar};
+
+/// Cells a writer publishes between the two halves of a commit the
+/// opacity tests watch.
+const FILLERS: usize = 32;
 
 fn spawn_all<F: FnOnce() + Send + 'static>(fs: Vec<F>) {
     let handles: Vec<_> = fs.into_iter().map(std::thread::spawn).collect();
@@ -48,26 +54,36 @@ fn concurrent_counter_is_exact() {
 /// Bank invariant under transfers plus concurrent full-snapshot
 /// readers: the readers exercise opacity — a transaction must never
 /// observe a torn (mid-transfer) state, even on attempts that would
-/// later abort, because the sum assertion runs *inside* the closure.
+/// later abort. The sum is checked *inside* the closure, on every
+/// attempt; torn sums are counted there and asserted zero after the
+/// join. Read stalls are off, so the mark hint cannot mask a torn read,
+/// and each transfer also writes a run of private filler cells between
+/// its two accounts, so a half-published transfer stays visible long
+/// enough for a broken read rule to be caught.
 #[test]
 fn transfers_preserve_the_total_and_snapshots_are_opaque() {
     let stm = Stm::with_config(StmConfig {
         shards: 4,
         vendor_slots: 4,
+        read_stall_spins: 0,
         ..StmConfig::default()
     });
     let n_accounts = 8usize;
     let initial = 1_000u64;
     let accounts: Vec<TVar<u64>> = (0..n_accounts).map(|_| stm.new_tvar(initial)).collect();
     let total = initial * n_accounts as u64;
+    let torn = Arc::new(AtomicU64::new(0));
+    let transfers_left = Arc::new(AtomicU64::new(2));
 
     let mut workers: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     // Two transfer threads with different (deterministic) walk patterns.
     for t in 0..2u64 {
         let stm = stm.clone();
         let accounts = accounts.clone();
+        let fillers: Vec<TVar<u64>> = (0..FILLERS).map(|_| stm.new_tvar(0u64)).collect();
+        let transfers_left = Arc::clone(&transfers_left);
         workers.push(Box::new(move || {
-            for i in 0..400u64 {
+            for i in 0..5_000u64 {
                 let from = ((i * 7 + t * 3) % n_accounts as u64) as usize;
                 let to = ((i * 5 + t + 1) % n_accounts as u64) as usize;
                 if from == to {
@@ -78,31 +94,49 @@ fn transfers_preserve_the_total_and_snapshots_are_opaque() {
                     let b = tx.read(&accounts[to])?;
                     let amount = (a / 2).min(i % 97);
                     tx.write(&accounts[from], a - amount)?;
+                    for f in &fillers {
+                        tx.write(f, i)?;
+                    }
                     tx.write(&accounts[to], b + amount)
                 });
             }
+            transfers_left.fetch_sub(1, Ordering::SeqCst);
         }));
     }
-    // Two snapshot readers asserting the invariant inside the
-    // transaction body.
+    // Two snapshot readers checking the invariant inside the
+    // transaction body while the transfers run (bounded either way; a
+    // torn read ends the hunt early).
     for _ in 0..2 {
         let stm = stm.clone();
         let accounts = accounts.clone();
+        let torn = Arc::clone(&torn);
+        let transfers_left = Arc::clone(&transfers_left);
         workers.push(Box::new(move || {
-            for _ in 0..200 {
+            for _ in 0..100_000 {
+                if transfers_left.load(Ordering::SeqCst) == 0 || torn.load(Ordering::Relaxed) > 0 {
+                    break;
+                }
                 let sum = stm.atomically(|tx| {
                     let mut sum = 0u64;
                     for acct in &accounts {
                         sum += tx.read(acct)?;
                     }
+                    if sum != total {
+                        torn.fetch_add(1, Ordering::Relaxed);
+                    }
                     Ok(sum)
                 });
-                assert_eq!(sum, total, "torn snapshot escaped the STM");
+                assert_eq!(sum, total, "torn snapshot committed");
             }
         }));
     }
     spawn_all(workers);
 
+    assert_eq!(
+        torn.load(Ordering::Relaxed),
+        0,
+        "transaction bodies observed torn snapshots"
+    );
     let final_sum = stm.atomically(|tx| {
         let mut sum = 0u64;
         for acct in &accounts {
@@ -111,6 +145,66 @@ fn transfers_preserve_the_total_and_snapshots_are_opaque() {
         Ok(sum)
     });
     assert_eq!(final_sum, total);
+}
+
+/// The smallest opacity witness: one writer keeps two cells equal
+/// (`a = b = a + 1` in one transaction, with filler writes between
+/// them so their publications land well apart), and a reader that
+/// loads `a` then `b` must never see them differ inside its closure —
+/// not even on an attempt that later aborts.
+#[test]
+fn two_cell_reader_never_sees_half_a_commit() {
+    let stm = Stm::with_config(StmConfig {
+        read_stall_spins: 0,
+        ..StmConfig::default()
+    });
+    let a = stm.new_tvar(0u64);
+    let b = stm.new_tvar(0u64);
+    let fillers: Vec<TVar<u64>> = (0..FILLERS).map(|_| stm.new_tvar(0u64)).collect();
+    let done = Arc::new(AtomicBool::new(false));
+    let torn = Arc::new(AtomicU64::new(0));
+
+    let writer = {
+        let (stm, a, b, done) = (stm.clone(), a.clone(), b.clone(), Arc::clone(&done));
+        move || {
+            while !done.load(Ordering::SeqCst) {
+                stm.atomically(|tx| {
+                    let x = tx.read(&a)?;
+                    tx.write(&a, x + 1)?;
+                    for f in &fillers {
+                        tx.write(f, x)?;
+                    }
+                    tx.write(&b, x + 1)
+                });
+            }
+        }
+    };
+    let reader = {
+        let (stm, torn) = (stm.clone(), Arc::clone(&torn));
+        move || {
+            for _ in 0..200_000 {
+                if torn.load(Ordering::Relaxed) > 0 {
+                    break;
+                }
+                stm.atomically(|tx| {
+                    let va = tx.read(&a)?;
+                    let vb = tx.read(&b)?;
+                    if va != vb {
+                        torn.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                });
+            }
+            done.store(true, Ordering::SeqCst);
+        }
+    };
+    let writer: Box<dyn FnOnce() + Send> = Box::new(writer);
+    spawn_all(vec![writer, Box::new(reader)]);
+    assert_eq!(
+        torn.load(Ordering::Relaxed),
+        0,
+        "a reader saw one cell of a commit without the other"
+    );
 }
 
 /// Worst-case starvation pressure: one shard, tiny vendor, immediate
