@@ -1404,9 +1404,9 @@ impl Simulator {
         let breakdowns: Vec<Breakdown> = self.machine.breakdowns();
         // Accounting invariant: every cycle of every processor is
         // attributed to exactly one breakdown component, so each row
-        // sums to the makespan.
+        // sums to the makespan. Checked once per run, so in release too.
         for (i, b) in breakdowns.iter().enumerate() {
-            debug_assert_eq!(
+            assert_eq!(
                 b.total(),
                 end.0,
                 "P{i}: breakdown {b:?} does not sum to the makespan {end}"

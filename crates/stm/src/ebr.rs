@@ -24,11 +24,18 @@
 //! check implicit: when a bag is reused at epoch `e` its previous
 //! contents are from some `e' ≤ e - 3`, which is always safely
 //! reclaimable. Participants are acquired per-pin from a lock-free
-//! (Treiber) registry with an ownership CAS — no thread-locals, so a
-//! collector's participants can never dangle past the collector itself.
+//! (Treiber) registry with an ownership CAS, so a guard may be taken on
+//! any thread. A thread-local hint remembers which node the calling
+//! thread claimed last and is tried first: without it, two threads
+//! pinning in turn would each CAS the other's node at the registry head
+//! and swap participants (and their garbage bags) on every pin. The
+//! hint only chooses where to try; ownership is still the CAS.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering::SeqCst};
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{
+    AtomicBool, AtomicPtr, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 
 /// Retired garbage: drain a bag this many items deep tries to advance
 /// the global epoch so the bag can empty soon.
@@ -72,6 +79,19 @@ struct Participant {
 pub struct Collector {
     global: AtomicU64,
     head: AtomicPtr<Participant>,
+    /// Never reused across collectors: keys [`PIN_HINT`], so a hint a
+    /// dropped collector left behind is never dereferenced, even by a
+    /// new collector at the same address.
+    id: u64,
+}
+
+thread_local! {
+    /// `(collector id, participant)`: the node this thread claimed last
+    /// from the collector with that id. The pointer is dereferenced only
+    /// when the id matches the collector being pinned, which is then
+    /// alive, and participants are freed only by `Collector::drop`.
+    static PIN_HINT: Cell<(u64, *mut Participant)> =
+        const { Cell::new((u64::MAX, std::ptr::null_mut())) };
 }
 
 // `head` chains heap nodes only this collector frees; all cross-thread
@@ -88,9 +108,11 @@ impl Default for Collector {
 impl Collector {
     #[must_use]
     pub fn new() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Collector {
             global: AtomicU64::new(0),
             head: AtomicPtr::new(std::ptr::null_mut()),
+            id: NEXT_ID.fetch_add(1, Relaxed),
         }
     }
 
@@ -132,15 +154,32 @@ impl Collector {
     }
 
     fn acquire_participant(&self) -> *mut Participant {
+        // `try_with`: a pin during thread teardown just scans.
+        if let Ok((id, p)) = PIN_HINT.try_with(Cell::get) {
+            // SAFETY: the id matches, so `p` is a node of this live
+            // collector's registry.
+            if id == self.id && Self::claim(unsafe { &*p }) {
+                return p;
+            }
+        }
+        let p = self.scan_or_register();
+        let _ = PIN_HINT.try_with(|h| h.set((self.id, p)));
+        p
+    }
+
+    /// Takes ownership of `node` if it is released.
+    fn claim(node: &Participant) -> bool {
+        node.owned
+            .compare_exchange(false, true, SeqCst, SeqCst)
+            .is_ok()
+    }
+
+    fn scan_or_register(&self) -> *mut Participant {
         // Reuse a released slot if one exists.
         let mut p = self.head.load(SeqCst);
         while !p.is_null() {
             let node = unsafe { &*p };
-            if node
-                .owned
-                .compare_exchange(false, true, SeqCst, SeqCst)
-                .is_ok()
-            {
+            if Self::claim(node) {
                 return p;
             }
             p = node.next;
@@ -168,6 +207,19 @@ impl Collector {
                 return node;
             }
         }
+    }
+
+    /// Registry length: one node per peak concurrent pin.
+    #[cfg(test)]
+    fn participants(&self) -> usize {
+        let mut n = 0;
+        let mut p = self.head.load(SeqCst);
+        while !p.is_null() {
+            n += 1;
+            // SAFETY: registry nodes live until `Collector::drop`.
+            p = unsafe { (*p).next };
+        }
+        n
     }
 
     /// Advances the global epoch if every pinned participant has
@@ -332,9 +384,9 @@ mod tests {
         drop(reader);
         c.try_advance();
         assert_eq!(c.epoch(), 3);
-        // Two concurrent pins: the first reuses the reader's released
-        // slot (registry head), the second the retirer's — whose bag is
-        // now two epochs stale and drains.
+        // Two concurrent pins: the first reuses the retirer's slot (the
+        // thread's hint since the pin above), whose bag is now two
+        // epochs stale and drains; the second takes the reader's.
         let _g1 = c.pin();
         let _g2 = c.pin();
         assert_eq!(FREED.load(SeqCst), 1, "freed once the reader unpins");
@@ -360,6 +412,71 @@ mod tests {
         let p1 = c.pin().part;
         let p2 = c.pin().part;
         assert_eq!(p1, p2, "sequential pins reuse the released slot");
+    }
+
+    /// Two threads pinning in turn each keep the node they first
+    /// claimed. Scanning from the registry head instead would hand each
+    /// thread whichever node the other had just released.
+    #[test]
+    fn threads_keep_their_own_participant() {
+        let c = Collector::new();
+        let both_pinned = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    // Pin together once, so the two claims are distinct.
+                    let g = c.pin();
+                    let mine = g.part as usize;
+                    both_pinned.wait();
+                    drop(g);
+                    for _ in 0..10_000 {
+                        assert_eq!(c.pin().part as usize, mine);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.participants(), 2);
+    }
+
+    /// Nested pins on one thread miss the hint and scan; nodes are
+    /// reused, so the registry holds one node per peak concurrent pin.
+    #[test]
+    fn registry_never_grows_past_peak_concurrent_pins() {
+        let c = Collector::new();
+        for _ in 0..1_000 {
+            let _g1 = c.pin();
+            let _g2 = c.pin();
+            let _g3 = c.pin();
+        }
+        assert_eq!(c.participants(), 3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..5_000 {
+                        let _g = c.pin();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.participants(), 3, "two threads need no fourth node");
+    }
+
+    /// A hint left by a dropped collector is ignored by a new collector
+    /// built in the same place: its id differs, so the freed node is
+    /// never dereferenced and the pin registers a node of its own.
+    #[test]
+    fn stale_hint_from_a_dropped_collector_is_never_used() {
+        let mut c = Collector::new();
+        let addr = std::ptr::addr_of!(c) as usize;
+        // Leaves this thread's hint on `c`'s node.
+        drop(c.pin());
+        // Assignment drops the old collector (freeing that node) and
+        // moves the new one into the same place.
+        c = Collector::new();
+        assert_eq!(std::ptr::addr_of!(c) as usize, addr);
+        let g = c.pin();
+        assert_eq!(c.participants(), 1);
+        assert_eq!(g.part, c.head.load(SeqCst), "a node of the new registry");
     }
 
     #[test]

@@ -59,6 +59,12 @@
 //! Read and write sets of up to eight cells are searched linearly, so
 //! small transactions never allocate for lookups; larger ones index
 //! cells by address, keeping each access O(1).
+//!
+//! A transaction's buffers — the read and write sets and the entry
+//! lists handed to [`proto::commit`] — come from a per-thread slot and
+//! go back to it, cleared, when the attempt ends, so after warm-up an
+//! attempt allocates only the version nodes it writes. A nested or
+//! unwinding transaction finds the slot empty and allocates its own.
 
 use crate::ebr;
 use crate::proto::{
@@ -505,12 +511,27 @@ struct SlotSet<S> {
     index: HashMap<usize, usize, BuildHasherDefault<AddrHasher>>,
 }
 
+impl<S> Default for SlotSet<S> {
+    fn default() -> Self {
+        SlotSet {
+            slots: Vec::new(),
+            index: HashMap::default(),
+        }
+    }
+}
+
 impl<S: Slot> SlotSet<S> {
     fn with_capacity(n: usize) -> Self {
         SlotSet {
             slots: Vec::with_capacity(n),
             index: HashMap::default(),
         }
+    }
+
+    /// Empties the set, keeping its allocations.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
     }
 
     /// Position of `core`'s slot, if the set has one.
@@ -527,12 +548,12 @@ impl<S: Slot> SlotSet<S> {
         self.slots.push(slot);
         let n = self.slots.len();
         if n == LINEAR_MAX + 1 {
-            self.index = self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (cell_key(s.core()), i))
-                .collect();
+            self.index.extend(
+                self.slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (cell_key(s.core()), i)),
+            );
         } else if n > LINEAR_MAX + 1 {
             self.index.insert(cell_key(self.slots[n - 1].core()), n - 1);
         }
@@ -564,6 +585,42 @@ impl Slot for WriteSlot {
     }
 }
 
+/// A transaction's reusable heap buffers (module docs).
+#[derive(Default)]
+struct TxBufs {
+    reads: SlotSet<ReadSlot>,
+    writes: SlotSet<WriteSlot>,
+    read_entries: Vec<ReadEntry<usize>>,
+    write_entries: Vec<WriteEntry<usize>>,
+}
+
+impl TxBufs {
+    fn with_typical_capacity() -> Self {
+        // Typical footprints are a handful of cells; skip the doubling
+        // reallocs on the hot path.
+        TxBufs {
+            reads: SlotSet::with_capacity(8),
+            writes: SlotSet::with_capacity(4),
+            read_entries: Vec::with_capacity(8),
+            write_entries: Vec::with_capacity(4),
+        }
+    }
+
+    /// Empties every buffer, dropping the slots' cell references.
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.read_entries.clear();
+        self.write_entries.clear();
+    }
+}
+
+thread_local! {
+    /// The buffers of this thread's last finished transaction, taken by
+    /// the next [`Tx::new`] and returned by its `Drop`.
+    static TX_BUFS: Cell<Option<TxBufs>> = const { Cell::new(None) };
+}
+
 /// One transaction attempt: invisible-read read set + buffered write
 /// set, pinned for its whole lifetime so version loads stay safe.
 ///
@@ -577,8 +634,7 @@ impl Slot for WriteSlot {
 pub struct Tx<'s> {
     stm: &'s Inner,
     guard: ebr::Guard<'s>,
-    reads: SlotSet<ReadSlot>,
-    writes: SlotSet<WriteSlot>,
+    bufs: TxBufs,
     /// Snapshot bound: every TID below it has finished publishing, and
     /// every recorded read is the cell's value in the serial state
     /// after exactly those TIDs.
@@ -591,10 +647,12 @@ impl<'s> Tx<'s> {
         Tx {
             stm,
             guard: stm.collector.pin(),
-            // Typical footprints are a handful of cells; skip the
-            // doubling reallocs on the hot path.
-            reads: SlotSet::with_capacity(8),
-            writes: SlotSet::with_capacity(4),
+            // `try_with`: a transaction during thread teardown allocates.
+            bufs: TX_BUFS
+                .try_with(Cell::take)
+                .ok()
+                .flatten()
+                .unwrap_or_else(TxBufs::with_typical_capacity),
             rv: if id == stm.id { bound } else { 0 },
         }
     }
@@ -610,7 +668,7 @@ impl<'s> Tx<'s> {
     /// observed. Called after loading a new snapshot bound, so passing
     /// means each recorded value is also the cell's value under it.
     fn validate_reads(&self) -> TxResult<()> {
-        for slot in &self.reads.slots {
+        for slot in &self.bufs.reads.slots {
             let p = slot.core.current.load(Ordering::Acquire);
             // SAFETY: non-null, and live under `self.guard` (see `Tx`).
             if unsafe { (*p).stamp } != slot.stamp {
@@ -659,19 +717,19 @@ impl<'s> Tx<'s> {
         let core = &v.core;
 
         // Read-your-own-write.
-        if let Some(i) = self.writes.find(core) {
-            let w = &self.writes.slots[i];
+        if let Some(i) = self.bufs.writes.find(core) {
+            let w = &self.bufs.writes.slots[i];
             // SAFETY: an unpublished `Version<T>` this `Tx` owns.
             let value = unsafe { (*w.prepared.cast::<Version<T>>()).value.clone() };
             return Ok((value, ReadOrigin::OwnWrite));
         }
 
-        let p = if let Some(i) = self.reads.find(core) {
+        let p = if let Some(i) = self.bufs.reads.find(core) {
             // Repeated read: the recorded version is in the snapshot;
             // any other one is a conflict.
             let p = core.current.load(Ordering::Acquire);
             // SAFETY: non-null, and live under `self.guard` (see `Tx`).
-            if unsafe { (*p).stamp } != self.reads.slots[i].stamp {
+            if unsafe { (*p).stamp } != self.bufs.reads.slots[i].stamp {
                 return Err(TxError::Conflict);
             }
             p
@@ -691,7 +749,7 @@ impl<'s> Tx<'s> {
                 RealShim::pause();
             }
             let p = self.load_in_snapshot(core)?;
-            self.reads.push(ReadSlot {
+            self.bufs.reads.push(ReadSlot {
                 core: Arc::clone(core),
                 // SAFETY: as in `load_in_snapshot`, which loaded `p`.
                 stamp: unsafe { (*p).stamp },
@@ -723,15 +781,15 @@ impl<'s> Tx<'s> {
         value: T,
     ) -> TxResult<()> {
         self.check_same_stm(v);
-        if let Some(i) = self.writes.find(&v.core) {
+        if let Some(i) = self.bufs.writes.find(&v.core) {
             // Overwrite: replace the prepared node's value in place.
-            let w = &self.writes.slots[i];
+            let w = &self.bufs.writes.slots[i];
             // SAFETY: an unpublished `Version<T>` this `Tx` owns, so no
             // other thread can see it yet.
             unsafe { (*w.prepared.cast::<Version<T>>()).value = value };
             return Ok(());
         }
-        self.writes.push(WriteSlot {
+        self.bufs.writes.push(WriteSlot {
             core: Arc::clone(&v.core),
             prepared: alloc_version(STAMP_INITIAL, value),
             published: false,
@@ -741,46 +799,37 @@ impl<'s> Tx<'s> {
 
     /// Number of distinct cells read / written so far.
     pub fn footprint(&self) -> (usize, usize) {
-        (self.reads.slots.len(), self.writes.slots.len())
+        (self.bufs.reads.slots.len(), self.bufs.writes.slots.len())
     }
 
     fn commit(mut self, mode: CommitMode) -> CommitOutcome {
-        let read_entries: Vec<ReadEntry<usize>> = self
-            .reads
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReadEntry {
+        let b = &mut self.bufs;
+        b.read_entries
+            .extend(b.reads.slots.iter().enumerate().map(|(i, r)| ReadEntry {
                 cell: i,
                 shard: r.core.shard,
                 stamp: r.stamp,
-            })
-            .collect();
-        let write_entries: Vec<WriteEntry<usize>> = self
-            .writes
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WriteEntry {
+            }));
+        b.write_entries
+            .extend(b.writes.slots.iter().enumerate().map(|(i, w)| WriteEntry {
                 cell: i,
                 shard: w.core.shard,
-            })
-            .collect();
+            }));
         let mut cells = TxCells {
-            reads: &self.reads.slots,
-            writes: &mut self.writes.slots,
+            reads: &b.reads.slots,
+            writes: &mut b.writes.slots,
             guard: &self.guard,
         };
         let outcome = proto::commit::<RealShim, _>(
             &self.stm.state,
-            &read_entries,
-            &write_entries,
+            &b.read_entries,
+            &b.write_entries,
             &mut cells,
             mode,
             &CommitTweaks::default(),
         );
         if let CommitOutcome::Committed { tid } = outcome {
-            if !read_entries.is_empty() || !write_entries.is_empty() {
+            if !b.read_entries.is_empty() || !b.write_entries.is_empty() {
                 // Served at a footprint shard: every lower TID had
                 // resolved there, so finished publishing, and so have
                 // we.
@@ -793,20 +842,25 @@ impl<'s> Tx<'s> {
             }
         }
         outcome
-        // Tx drops here: unpublished prepared nodes are freed by the
-        // Drop impl, the pin is released.
+        // Tx drops here: unpublished prepared nodes are freed and the
+        // buffers returned by the Drop impl, the pin is released.
     }
 }
 
 impl Drop for Tx<'_> {
     fn drop(&mut self) {
-        for w in &self.writes.slots {
+        for w in &self.bufs.writes.slots {
             if !w.published {
                 // SAFETY: never published, so still owned here and
                 // freed exactly once.
                 unsafe { ((*w.prepared).free)(w.prepared) };
             }
         }
+        let mut bufs = std::mem::take(&mut self.bufs);
+        bufs.clear();
+        // A nested transaction may have refilled the slot; either set
+        // of buffers will do.
+        let _ = TX_BUFS.try_with(|slot| slot.set(Some(bufs)));
     }
 }
 
@@ -1102,6 +1156,81 @@ mod tests {
             nstids.iter().all(|&n| n == issued),
             "every TID resolved at every shard: {nstids:?}"
         );
+    }
+
+    /// A transaction run inside another one's closure, on the same
+    /// thread, takes fresh buffers while the outer one holds the
+    /// thread's slot; both see and commit the right values, against
+    /// the same instance and against a different one.
+    #[test]
+    fn nested_transactions_keep_their_own_buffers() {
+        let stm = Stm::new();
+        let other = Stm::new();
+        let a = stm.new_tvar(1u64);
+        let b = stm.new_tvar(10u64);
+        let c = other.new_tvar(100u64);
+        for round in 0..3u64 {
+            let (sum, receipt) = stm.run(|tx| {
+                let va = tx.read(&a)?;
+                tx.write(&a, va + 1)?;
+                // Same instance, a cell the outer transaction never
+                // touches, so the inner commit cannot conflict with it.
+                let vb = stm.atomically(|inner| {
+                    let vb = inner.read(&b)?;
+                    inner.write(&b, vb + 1)?;
+                    Ok(vb + 1)
+                });
+                let vc = other.atomically(|inner| {
+                    let vc = inner.read(&c)?;
+                    inner.write(&c, vc + 1)?;
+                    Ok(vc + 1)
+                });
+                // The outer sets survived the inner transactions.
+                assert_eq!(tx.read(&a)?, va + 1);
+                assert_eq!(tx.footprint(), (1, 1));
+                Ok(va + vb + vc)
+            });
+            assert_eq!(receipt.attempts, 1);
+            assert_eq!(sum, (1 + round) + (11 + round) + (101 + round));
+        }
+        assert_eq!(stm.atomically(|tx| tx.read(&a)), 4);
+        assert_eq!(stm.atomically(|tx| tx.read(&b)), 13);
+        assert_eq!(other.atomically(|tx| tx.read(&c)), 103);
+    }
+
+    /// A closure that panics with buffered writes unwinds through
+    /// `Tx::drop`, which frees the prepared nodes and returns the
+    /// buffers cleared: the thread's next transactions reuse them and
+    /// see none of the panicked attempt's state.
+    #[test]
+    fn panicking_closure_leaves_the_buffer_slot_sound() {
+        let stm = Stm::new();
+        let cells: Vec<TVar<u64>> = (0..12).map(|i| stm.new_tvar(i)).collect();
+        for _ in 0..3 {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                stm.atomically(|tx| -> TxResult<()> {
+                    // Past the linear-scan threshold, so the index is
+                    // populated too.
+                    for c in &cells {
+                        let v = tx.read(c)?;
+                        tx.write(c, v + 1_000)?;
+                    }
+                    panic!("user closure panicked with buffered writes");
+                })
+            }));
+            assert!(unwound.is_err());
+            let ((v0, total), receipt) = stm.run(|tx| {
+                assert_eq!(tx.footprint(), (0, 0), "a reused set starts empty");
+                let v0 = tx.read(&cells[0])?;
+                tx.write(&cells[0], v0 + 1)?;
+                let total: u64 = cells.iter().map(|c| tx.read(c)).sum::<TxResult<u64>>()?;
+                Ok((v0, total))
+            });
+            assert_eq!(receipt.attempts, 1);
+            // Cell 0 starts at 0; the total sees this attempt's write.
+            assert_eq!(total, (0..12).sum::<u64>() + v0 + 1);
+        }
+        assert_eq!(stm.atomically(|tx| tx.read(&cells[0])), 3);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! passes [`SlabKey`]s through its internal data structures. A key is
 //! `index + generation`: the generation is bumped every time a slot is
 //! vacated, so a stale key (one whose value was already removed) can
-//! never silently alias a newer tenant of the same slot — lookups with a
-//! stale key return `None` and removal panics in debug builds.
+//! never silently alias a newer tenant of the same slot — lookups and
+//! removals with a stale key return `None`.
 //!
 //! The slab never shrinks; vacated slots go on an internal free list and
 //! are reused in LIFO order, so a steady-state workload (insert/remove
@@ -103,7 +103,10 @@ impl<T> Slab<T> {
         self.len += 1;
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
-            debug_assert!(slot.value.is_none(), "free-list slot occupied");
+            // A free-list entry whose slot holds a value would make this
+            // insert drop a live tenant and alias its key; checked in
+            // release too, since the event queue runs on it.
+            assert!(slot.value.is_none(), "free-list slot occupied");
             slot.value = Some(value);
             SlabKey {
                 index,
@@ -135,10 +138,13 @@ impl<T> Slab<T> {
     /// Removes and returns the value behind `key`, bumping the slot's
     /// generation so `key` (and any copies of it) go stale. Returns
     /// `None` if the key is already stale.
+    ///
+    /// A stale key is not checked here: the caller owns what it means.
+    /// The event queue turns `None` into the typed
+    /// `QueueCorruption::MissingPayload` error, in every build.
     pub fn remove(&mut self, key: SlabKey) -> Option<T> {
         let slot = self.slots.get_mut(key.index as usize)?;
         if slot.generation != key.generation {
-            debug_assert!(false, "stale slab key: {key:?}");
             return None;
         }
         let value = slot.value.take()?;
@@ -196,6 +202,9 @@ mod tests {
         assert_eq!(b.index(), a.index());
         assert_ne!(b.generation(), a.generation());
         assert_eq!(s.get(a), None);
+        assert_eq!(s.get(b), Some(&"b"));
+        // Removing through the stale key leaves the new tenant alone.
+        assert_eq!(s.remove(a), None);
         assert_eq!(s.get(b), Some(&"b"));
     }
 
